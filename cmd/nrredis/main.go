@@ -82,7 +82,7 @@ func main() {
 		metrics = flag.String("metrics", "", "HTTP metrics address (e.g. 127.0.0.1:6390); empty disables")
 		method  = flag.String("method", "nr", "concurrency method: nr, sl, rwl, fc, fc+")
 		shards  = flag.Int("shards", 1, "hash-partition the keyspace over this many NR instances (nr method only)")
-		workers = flag.Int("workers", 8, "worker threads servicing requests")
+		workers = flag.Int("workers", 8, "NR handles: commands executing at once")
 		nodes   = flag.Int("nodes", 4, "NUMA nodes in the software topology")
 		cores   = flag.Int("cores", 14, "cores per node")
 		smt     = flag.Int("smt", 2, "hardware threads per core")

@@ -22,6 +22,10 @@ func samplePayload() *payload {
 			ConnectedClients: 3,
 			TotalConnections: 17,
 			TotalCommands:    1234567,
+			TotalFlushes:     100000,
+			HandleWaits:      40,
+			HandleWaitNs:     80000,
+			ShedTotal:        3,
 		},
 		NR: &core.Metrics{
 			Stats: core.Stats{ReadOps: 1100000, UpdateOps: 140000},
@@ -75,6 +79,9 @@ func TestRenderFrame(t *testing.T) {
 	for _, want := range []string{
 		"nrtop",                      // header
 		"clients 3",                  // server stats
+		"depth 12.3",                 // pipeline depth = commands / flushes
+		"handle waits 40 (mean 2",    // slow-path handle checkouts
+		"shed 3",                     // -BUSY refusals
 		"ops/s 123.5k",               // windowed throughput
 		"p99 12.4µs",                 // read tail from the window
 		"BATCH       mean 12.5",      // batch distribution

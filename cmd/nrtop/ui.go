@@ -37,9 +37,18 @@ func render(cur, prev *payload, sincePrev time.Duration) string {
 	var b strings.Builder
 
 	up := time.Duration(cur.Server.UptimeSeconds * float64(time.Second)).Round(time.Second)
-	fmt.Fprintf(&b, "nrtop · up %s · clients %d · conns %d · cmds %s\n",
-		up, cur.Server.ConnectedClients, cur.Server.TotalConnections,
-		fmtCount(float64(cur.Server.TotalCommands)))
+	ss := cur.Server
+	var depth float64
+	if ss.TotalFlushes > 0 {
+		depth = float64(ss.TotalCommands) / float64(ss.TotalFlushes)
+	}
+	var wait uint64
+	if ss.HandleWaits > 0 {
+		wait = ss.HandleWaitNs / ss.HandleWaits
+	}
+	fmt.Fprintf(&b, "nrtop · up %s · clients %d · conns %d · cmds %s · depth %.1f · handle waits %s (mean %s) · shed %s\n",
+		up, ss.ConnectedClients, ss.TotalConnections, fmtCount(float64(ss.TotalCommands)),
+		depth, fmtCount(float64(ss.HandleWaits)), fmtNs(wait), fmtCount(float64(ss.ShedTotal)))
 
 	if cur.NR == nil {
 		b.WriteString("\n  (no NR metrics: baseline method, nothing to show)\n")

@@ -33,6 +33,16 @@ type ServerStats struct {
 	ConnectedClients int     `json:"connected_clients"`
 	TotalConnections uint64  `json:"total_connections"`
 	TotalCommands    uint64  `json:"total_commands"`
+	// TotalFlushes counts reply flushes; TotalCommands/TotalFlushes is the
+	// mean pipeline depth.
+	TotalFlushes uint64 `json:"total_flushes"`
+	// ShedTotal counts commands refused with -BUSY because no executor
+	// handle came free within the wait budget.
+	ShedTotal uint64 `json:"shed_total"`
+	// HandleWaits counts commands that found every handle checked out and
+	// had to wait; HandleWaitNs is their total wait.
+	HandleWaits  uint64 `json:"handle_waits"`
+	HandleWaitNs uint64 `json:"handle_wait_ns"`
 }
 
 // ServerStats reports the serving layer's own counters.
@@ -45,6 +55,10 @@ func (s *Server) ServerStats() ServerStats {
 		ConnectedClients: clients,
 		TotalConnections: s.connTotal.Load(),
 		TotalCommands:    s.commands.Load(),
+		TotalFlushes:     s.flushes.Load(),
+		ShedTotal:        s.shed.Load(),
+		HandleWaits:      s.handleWaits.Load(),
+		HandleWaitNs:     s.handleWaitNs.Load(),
 	}
 }
 
@@ -60,6 +74,10 @@ func (s *Server) Info() string {
 	fmt.Fprintf(&b, "connected_clients:%d\r\n", ss.ConnectedClients)
 	fmt.Fprintf(&b, "total_connections_received:%d\r\n", ss.TotalConnections)
 	fmt.Fprintf(&b, "total_commands_processed:%d\r\n", ss.TotalCommands)
+	fmt.Fprintf(&b, "total_reply_flushes:%d\r\n", ss.TotalFlushes)
+	fmt.Fprintf(&b, "shed_total:%d\r\n", ss.ShedTotal)
+	fmt.Fprintf(&b, "handle_waits:%d\r\n", ss.HandleWaits)
+	fmt.Fprintf(&b, "handle_wait_ns:%d\r\n", ss.HandleWaitNs)
 
 	m, ok := s.Metrics()
 	if !ok {
@@ -175,6 +193,10 @@ func (s *Server) servePrometheus(w http.ResponseWriter) {
 	e.Gauge("nrredis_connected_clients", "Currently connected clients.", float64(ss.ConnectedClients))
 	e.Counter("nrredis_connections_total", "Connections accepted since start.", float64(ss.TotalConnections))
 	e.Counter("nrredis_commands_total", "Commands processed since start.", float64(ss.TotalCommands))
+	e.Counter("nrredis_flushes_total", "Reply flushes since start; commands_total/flushes_total is the mean pipeline depth.", float64(ss.TotalFlushes))
+	e.Counter("nrredis_shed_total", "Commands refused with -BUSY: no executor handle free within the wait budget.", float64(ss.ShedTotal))
+	e.Counter("nrredis_handle_waits_total", "Commands that waited for an executor handle.", float64(ss.HandleWaits))
+	e.Counter("nrredis_handle_wait_seconds_total", "Total time commands waited for an executor handle.", float64(ss.HandleWaitNs)/1e9)
 	if m, ok := s.Metrics(); ok {
 		prom.AppendMetrics(e, &m)
 	}

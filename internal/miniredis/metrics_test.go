@@ -43,7 +43,8 @@ func TestInfoCommandNR(t *testing.T) {
 
 	info := c.infoCmd(t)
 	for _, want := range []string{
-		"# Server", "total_commands_processed:",
+		"# Server", "total_commands_processed:", "total_reply_flushes:",
+		"shed_total:", "handle_waits:", "handle_wait_ns:",
 		"# NR", "read_ops:", "combine_rounds:", "log_occupancy:",
 		"# Health", "poisoned:false",
 		"# Latency", "read_p50_ns:", "update_p99_ns:",
@@ -107,8 +108,8 @@ func TestMetricsHandler(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &payload); err != nil {
 		t.Fatalf("/metrics not JSON: %v\n%s", err, rec.Body.String())
 	}
-	if payload.Server.TotalCommands < 2 {
-		t.Errorf("total commands = %d, want >= 2", payload.Server.TotalCommands)
+	if payload.Server.TotalCommands < 2 || payload.Server.TotalFlushes < 2 {
+		t.Errorf("total commands, flushes = %d, %d; want >= 2 each", payload.Server.TotalCommands, payload.Server.TotalFlushes)
 	}
 	if payload.NR == nil {
 		t.Fatal("/metrics missing nr section for an NR-backed server")

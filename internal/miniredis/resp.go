@@ -1,18 +1,19 @@
 // Package miniredis is a small in-memory storage server in the style of
 // Redis, built for the paper's macro-benchmark (§8.3): sorted sets backed by
 // a hash table plus a skip list, updated atomically per request, behind a
-// thread pool and a RESP wire protocol. The entire keyspace is a single
-// sequential structure (ds.HashMap of values) made concurrent through NR or
-// any of the baseline methods — the "coupled data structures" case of §6
-// that lock-free algorithms cannot compose.
+// pool of executor handles and a RESP wire protocol. The entire keyspace is
+// a single sequential structure (ds.HashMap of values) made concurrent
+// through NR or any of the baseline methods — the "coupled data structures"
+// case of §6 that lock-free algorithms cannot compose.
 package miniredis
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"strconv"
+	"strings"
 )
 
 // RESP value type markers.
@@ -68,14 +69,11 @@ func ReadCommand(r *bufio.Reader) ([]string, error) {
 		if ln < 0 || ln > 64<<20 {
 			return nil, fmt.Errorf("%w: bulk length %d", ErrProtocol, ln)
 		}
-		buf := make([]byte, ln+2)
-		if _, err := io.ReadFull(r, buf); err != nil {
+		arg, err := readBulk(r, int(ln))
+		if err != nil {
 			return nil, err
 		}
-		if buf[ln] != '\r' || buf[ln+1] != '\n' {
-			return nil, fmt.Errorf("%w: bulk string missing CRLF", ErrProtocol)
-		}
-		args = append(args, string(buf[:ln]))
+		args = append(args, arg)
 	}
 	return args, nil
 }
@@ -106,17 +104,44 @@ func splitInline(s string) []string {
 	return out
 }
 
+// readBulk reads a bulk string's n bytes and its CRLF terminator, copying
+// the bytes once, straight from the reader's buffer into the string.
+func readBulk(r *bufio.Reader, n int) (string, error) {
+	var b strings.Builder
+	b.Grow(n)
+	for b.Len() < n {
+		chunk, err := r.Peek(min(n-b.Len(), r.Size()))
+		if err != nil {
+			return "", err
+		}
+		b.Write(chunk)
+		_, _ = r.Discard(len(chunk)) // Peek just buffered them
+	}
+	crlf, err := r.Peek(2)
+	if err != nil {
+		return "", err
+	}
+	if crlf[0] != '\r' || crlf[1] != '\n' {
+		return "", fmt.Errorf("%w: bulk string missing CRLF", ErrProtocol)
+	}
+	_, _ = r.Discard(2)
+	return b.String(), nil
+}
+
+// readInt parses a CRLF-terminated integer line in place in the reader's
+// buffer.
 func readInt(r *bufio.Reader) (int64, error) {
-	s, err := r.ReadString('\n')
+	line, err := r.ReadSlice('\n')
 	if err != nil {
 		return 0, err
 	}
-	return strconv.ParseInt(trimCRLF(s), 10, 64)
+	return strconv.ParseInt(string(bytes.TrimRight(line, "\r\n")), 10, 64)
 }
 
 // Writer emits RESP replies.
 type Writer struct {
-	w *bufio.Writer
+	w   *bufio.Writer
+	num []byte // scratch for formatting scores, reused across replies
 }
 
 // NewWriter wraps w.
@@ -127,25 +152,37 @@ func (w *Writer) Flush() error { return w.w.Flush() }
 
 // Simple writes a simple-string reply (+OK).
 func (w *Writer) Simple(s string) error {
-	_, err := fmt.Fprintf(w.w, "+%s\r\n", s)
-	return err
+	_ = w.w.WriteByte(respSimple)
+	return w.text(s)
 }
 
-// Error writes an error reply.
-func (w *Writer) Error(msg string) error {
-	_, err := fmt.Fprintf(w.w, "-ERR %s\r\n", msg)
-	return err
+// Error writes a generic error reply (-ERR msg).
+func (w *Writer) Error(msg string) error { return w.ErrorCode("ERR", msg) }
+
+// ErrorCode writes an error reply with its own code word (-BUSY msg).
+func (w *Writer) ErrorCode(code, msg string) error {
+	_ = w.w.WriteByte(respError)
+	_, _ = w.w.WriteString(code)
+	_ = w.w.WriteByte(' ')
+	return w.text(msg)
 }
 
 // Int writes an integer reply.
-func (w *Writer) Int(v int64) error {
-	_, err := fmt.Fprintf(w.w, ":%d\r\n", v)
-	return err
-}
+func (w *Writer) Int(v int64) error { return w.header(respInt, v) }
 
 // Bulk writes a bulk-string reply.
 func (w *Writer) Bulk(s string) error {
-	_, err := fmt.Fprintf(w.w, "$%d\r\n%s\r\n", len(s), s)
+	_ = w.header(respBulk, int64(len(s)))
+	return w.text(s)
+}
+
+// Score writes a sorted-set score as a bulk string, formatted as by
+// FormatScore.
+func (w *Writer) Score(f float64) error {
+	w.num = strconv.AppendFloat(w.num[:0], f, 'g', -1, 64)
+	_ = w.header(respBulk, int64(len(w.num)))
+	_, _ = w.w.Write(w.num)
+	_, err := w.w.WriteString("\r\n")
 	return err
 }
 
@@ -157,15 +194,29 @@ func (w *Writer) Nil() error {
 
 // Array writes an array of bulk strings.
 func (w *Writer) Array(items []string) error {
-	if _, err := fmt.Fprintf(w.w, "*%d\r\n", len(items)); err != nil {
-		return err
-	}
+	err := w.header(respArray, int64(len(items)))
 	for _, it := range items {
-		if err := w.Bulk(it); err != nil {
-			return err
-		}
+		err = w.Bulk(it)
 	}
-	return nil
+	return err
+}
+
+// text writes s and CRLF. bufio.Writer errors are sticky, so the last write
+// reports any failure of the reply's earlier writes too.
+func (w *Writer) text(s string) error {
+	_, _ = w.w.WriteString(s)
+	_, err := w.w.WriteString("\r\n")
+	return err
+}
+
+// header writes a type marker, a decimal integer and CRLF, formatted in the
+// writer's free buffer space.
+func (w *Writer) header(marker byte, v int64) error {
+	b := append(w.w.AvailableBuffer(), marker)
+	b = strconv.AppendInt(b, v, 10)
+	b = append(b, '\r', '\n')
+	_, err := w.w.Write(b)
+	return err
 }
 
 // FormatScore renders a float the way Redis does (%.17g trimmed).

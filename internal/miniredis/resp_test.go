@@ -3,6 +3,7 @@ package miniredis
 import (
 	"bufio"
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
@@ -50,6 +51,23 @@ func TestReadCommandBinarySafeBulk(t *testing.T) {
 	}
 }
 
+// TestReadCommandBulkLargerThanBuffer: a bulk string longer than the
+// reader's buffer is assembled across refills.
+func TestReadCommandBulkLargerThanBuffer(t *testing.T) {
+	val := strings.Repeat("0123456789", 10)
+	r := bufio.NewReaderSize(strings.NewReader("*2\r\n$3\r\nGET\r\n$100\r\n"+val+"\r\nPING\r\n"), 16)
+	args, err := ReadCommand(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(args) != 2 || args[1] != val {
+		t.Fatalf("args = %q", args)
+	}
+	if args, err := ReadCommand(r); err != nil || len(args) != 1 || args[0] != "PING" {
+		t.Fatalf("next command = %q, %v", args, err)
+	}
+}
+
 func TestReadCommandProtocolErrors(t *testing.T) {
 	cases := []string{
 		"*2\r\n$3\r\nGET\r\n:5\r\n", // non-bulk element
@@ -92,10 +110,17 @@ func TestWriterReplies(t *testing.T) {
 	if err := w.Array([]string{"a", "bc"}); err != nil {
 		t.Fatal(err)
 	}
+	if err := w.ErrorCode("BUSY", "try later"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Score(-2.25); err != nil {
+		t.Fatal(err)
+	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	want := "+OK\r\n-ERR bad thing\r\n:-7\r\n$2\r\nhi\r\n$-1\r\n*2\r\n$1\r\na\r\n$2\r\nbc\r\n"
+	want := "+OK\r\n-ERR bad thing\r\n:-7\r\n$2\r\nhi\r\n$-1\r\n*2\r\n$1\r\na\r\n$2\r\nbc\r\n" +
+		"-BUSY try later\r\n$5\r\n-2.25\r\n"
 	if got := buf.String(); got != want {
 		t.Errorf("wire output = %q, want %q", got, want)
 	}
@@ -142,5 +167,45 @@ func TestWriteResultPerCommand(t *testing.T) {
 	}
 	if got := render(StoreOp{Cmd: CmdZRange}, StoreResult{OK: true, Members: []string{"m"}}); got != "*1\r\n$1\r\nm\r\n" {
 		t.Errorf("ZRANGE reply = %q", got)
+	}
+}
+
+// TestRESPAllocsPerCommand pins the allocations of the paper's two commands
+// on the serving path: parsing costs the argument slice plus one string per
+// argument, and replying costs nothing.
+func TestRESPAllocsPerCommand(t *testing.T) {
+	cases := []struct {
+		name, wire  string
+		parseAllocs float64
+		res         StoreResult
+	}{
+		{"ZRANK", "*3\r\n$5\r\nZRANK\r\n$4\r\nzset\r\n$10\r\nmember0042\r\n", 4, StoreResult{OK: true, Int: 42}},
+		{"ZINCRBY", "*4\r\n$7\r\nZINCRBY\r\n$4\r\nzset\r\n$1\r\n1\r\n$10\r\nmember0042\r\n", 5, StoreResult{OK: true, Score: 17.5}},
+	}
+	for _, c := range cases {
+		src := strings.NewReader(c.wire)
+		r := bufio.NewReader(src)
+		var op StoreOp
+		parse := testing.AllocsPerRun(100, func() {
+			src.Reset(c.wire)
+			r.Reset(src)
+			args, err := ReadCommand(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			op, _ = ParseCommand(args)
+		})
+		if parse != c.parseAllocs {
+			t.Errorf("%s: ReadCommand+ParseCommand allocs = %v, want %v", c.name, parse, c.parseAllocs)
+		}
+		w := NewWriter(bufio.NewWriter(io.Discard))
+		reply := testing.AllocsPerRun(100, func() {
+			if err := WriteResult(w, op, c.res); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if reply != 0 {
+			t.Errorf("%s: WriteResult allocs = %v, want 0", c.name, reply)
+		}
 	}
 }

@@ -75,36 +75,42 @@ func NewSharedTraced(method string, topo topology.Topology, seed uint64, rec *tr
 	return nil, fmt.Errorf("miniredis: unknown method %q", method)
 }
 
-// request is one parsed command awaiting execution by the pool.
-type request struct {
-	op   StoreOp
-	resp chan StoreResult
-}
-
 // Default per-connection deadlines. The read deadline bounds how long an
-// idle connection can pin server resources (and how long Close waits for
-// it); the write deadline keeps a stuck client from wedging a handler.
+// idle connection can pin server resources; the write deadline keeps a stuck
+// client from wedging a handler.
 const (
 	DefaultReadTimeout  = 5 * time.Minute
 	DefaultWriteTimeout = 30 * time.Second
 )
 
-// Server is a RESP server: connections parse commands and hand them to a
-// worker pool; each worker owns a registered executor (the paper's
-// thread-pool structure, §7).
+// Serving-layer liveness bounds: a command waits at most handleWaitBudget
+// for an executor handle before it is refused with -BUSY, so a stalled
+// executor yields error replies rather than parked clients; Close waits
+// closeGrace for in-flight commands before force-closing their connections.
+const (
+	handleWaitBudget = time.Second
+	closeGrace       = 2 * time.Second
+)
+
+type executor = baseline.Executor[StoreOp, StoreResult]
+
+// Server is a RESP server. Each connection's goroutine parses its commands
+// and runs them itself: a command checks an executor handle out of a pool of
+// `workers` registered handles, executes, and returns the handle before its
+// reply is written. Replies are buffered and flushed once the connection has
+// no more input to act on, so a pipelined burst costs one write.
 //
 // Failure containment: each connection handler recovers its own panics and
-// closes only that connection; each worker recovers panics escaping the
-// keyspace (e.g. a contained NR user-code panic re-raised by Execute) and
-// answers with an error reply instead of dying; Close stops accepting, lets
-// in-flight commands finish, unblocks idle readers, and only then stops the
-// workers.
+// closes only that connection; a panic escaping the keyspace (e.g. a
+// contained NR user-code panic re-raised by Execute) becomes an error reply
+// for that command alone. Close stops accepting, lets in-flight commands
+// finish (replies included), unblocks idle readers, and after closeGrace
+// force-closes whatever is left, so it returns even when an executor never
+// does.
 type Server struct {
 	shared       Shared
 	ln           net.Listener
-	queue        chan request
-	wg           sync.WaitGroup
-	connsWG      sync.WaitGroup
+	handles      chan executor
 	readTimeout  time.Duration
 	writeTimeout time.Duration
 	started      time.Time
@@ -115,14 +121,23 @@ type Server struct {
 	// WithPersistence.
 	persist *Persistence
 
-	// commands counts every parsed command (INFO included); connTotal
-	// counts accepted connections over the server's lifetime.
-	commands  atomic.Uint64
-	connTotal atomic.Uint64
+	// Serving counters (see ServerStats). commands and flushes are added
+	// once per flush; the handle-wait and shed counters move only on the
+	// slow path, when no handle was free.
+	commands     atomic.Uint64
+	flushes      atomic.Uint64
+	connTotal    atomic.Uint64
+	handleWaits  atomic.Uint64
+	handleWaitNs atomic.Uint64
+	shed         atomic.Uint64
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
+	// closing is closed by Close, releasing commands waiting for a handle;
+	// drained is closed once Close has begun and the last connection is gone.
+	closing chan struct{}
+	drained chan struct{}
 }
 
 // MetricsSource is implemented by keyspaces that can report the NR unified
@@ -147,14 +162,14 @@ type ShardStatsSource interface {
 type ServerOption func(*Server)
 
 // WithReadTimeout sets the per-connection read deadline, refreshed before
-// every command read. Zero disables it (not recommended: Close then has to
+// every socket read. Zero disables it (not recommended: Close then has to
 // force-close idle connections mid-keepalive).
 func WithReadTimeout(d time.Duration) ServerOption {
 	return func(s *Server) { s.readTimeout = d }
 }
 
 // WithWriteTimeout sets the per-connection write deadline, refreshed before
-// every reply. Zero disables it.
+// every socket write. Zero disables it.
 func WithWriteTimeout(d time.Duration) ServerOption {
 	return func(s *Server) { s.writeTimeout = d }
 }
@@ -174,19 +189,21 @@ func WithPersistence(p *Persistence) ServerOption {
 	return func(s *Server) { s.persist = p }
 }
 
-// NewServer builds a server over the shared keyspace with the given worker
-// count.
+// NewServer builds a server over the shared keyspace, registering workers
+// executor handles: at most that many commands execute at once.
 func NewServer(shared Shared, workers int, opts ...ServerOption) (*Server, error) {
 	if workers < 1 {
 		return nil, errors.New("miniredis: need at least one worker")
 	}
 	s := &Server{
 		shared:       shared,
-		queue:        make(chan request, 1024),
+		handles:      make(chan executor, workers),
 		conns:        make(map[net.Conn]struct{}),
 		readTimeout:  DefaultReadTimeout,
 		writeTimeout: DefaultWriteTimeout,
 		started:      time.Now(),
+		closing:      make(chan struct{}),
+		drained:      make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(s)
@@ -196,23 +213,41 @@ func NewServer(shared Shared, workers int, opts ...ServerOption) (*Server, error
 		if err != nil {
 			return nil, fmt.Errorf("miniredis: registering worker %d: %w", i, err)
 		}
-		s.wg.Add(1)
-		go s.worker(ex)
+		s.handles <- ex
 	}
 	return s, nil
 }
 
-func (s *Server) worker(ex baseline.Executor[StoreOp, StoreResult]) {
-	defer s.wg.Done()
-	for req := range s.queue {
-		req.resp <- safeExecute(ex, req.op)
+// checkout takes an executor handle. Only when every handle is busy does it
+// read the clock and wait, for at most handleWaitBudget; it returns nil when
+// that budget runs out (the command is shed) or the server starts closing.
+func (s *Server) checkout() executor {
+	select {
+	case ex := <-s.handles:
+		return ex
+	default:
 	}
+	start := time.Now()
+	timer := time.NewTimer(handleWaitBudget)
+	defer func() {
+		timer.Stop()
+		s.handleWaits.Add(1)
+		s.handleWaitNs.Add(uint64(time.Since(start)))
+	}()
+	select {
+	case ex := <-s.handles:
+		return ex
+	case <-timer.C:
+		s.shed.Add(1)
+	case <-s.closing:
+	}
+	return nil
 }
 
 // safeExecute runs one op, converting a panic escaping the keyspace — NR
 // re-raises contained user-code panics from Execute — into an error reply,
-// so one poisonous command cannot kill a pool worker.
-func safeExecute(ex baseline.Executor[StoreOp, StoreResult], op StoreOp) (res StoreResult) {
+// so one poisonous command neither kills its connection nor leaks its handle.
+func safeExecute(ex executor, op StoreOp) (res StoreResult) {
 	defer func() {
 		if p := recover(); p != nil {
 			res = StoreResult{Err: fmt.Sprintf("internal error executing command: %v", p)}
@@ -288,7 +323,6 @@ func (s *Server) ServeListener(ln net.Listener, ready func(net.Addr)) error {
 			continue
 		}
 		s.connTotal.Add(1)
-		s.connsWG.Add(1)
 		go s.handle(conn)
 	}
 }
@@ -307,24 +341,23 @@ func (s *Server) track(conn net.Conn) bool {
 func (s *Server) untrack(conn net.Conn) {
 	s.mu.Lock()
 	delete(s.conns, conn)
+	if s.closed && len(s.conns) == 0 {
+		close(s.drained)
+	}
 	s.mu.Unlock()
 }
 
 func (s *Server) handle(conn net.Conn) {
-	defer s.connsWG.Done()
 	defer s.untrack(conn)
 	defer conn.Close()
 	// A panic anywhere in this connection's parse/execute/reply cycle —
 	// protocol code fed hostile bytes, say — tears down only this
 	// connection: the deferred Close above runs, the server keeps serving.
 	defer func() { _ = recover() }()
-	r := bufio.NewReader(conn)
-	w := NewWriter(bufio.NewWriter(conn))
-	respCh := make(chan StoreResult, 1)
+	c := &session{s: s, conn: conn}
+	c.w = NewWriter(bufio.NewWriter(c))
+	r := bufio.NewReader(c)
 	for {
-		if !s.armRead(conn) {
-			return
-		}
 		args, err := ReadCommand(r)
 		if err != nil {
 			// EOF and deadline expiry (idle timeout, or Close unblocking
@@ -332,68 +365,97 @@ func (s *Server) handle(conn net.Conn) {
 			// error reply.
 			var ne net.Error
 			if !errors.Is(err, io.EOF) && !(errors.As(err, &ne) && ne.Timeout()) {
-				_ = w.Error("protocol error")
-				_ = s.flush(conn, w)
+				_ = c.w.Error("protocol error")
+				_ = c.flush()
 			}
 			return
 		}
-		s.commands.Add(1)
-		// INFO is a server-level command: it reports on the serving machinery
-		// itself, so it is answered here rather than routed through the
-		// keyspace's operation set.
-		if len(args) > 0 && strings.EqualFold(args[0], "INFO") {
-			if err := w.Bulk(s.Info()); err != nil {
-				return
-			}
-			if err := s.flush(conn, w); err != nil {
-				return
-			}
-			continue
-		}
-		// SLOWLOG is likewise server-level: it reads the flight recorder,
-		// not the keyspace (trace.go).
-		if len(args) > 0 && strings.EqualFold(args[0], "SLOWLOG") {
-			if err := s.slowlog(w, args[1:]); err != nil {
-				return
-			}
-			if err := s.flush(conn, w); err != nil {
-				return
-			}
-			continue
-		}
-		// BGSAVE/LASTSAVE drive the durability controller, not the keyspace.
-		if len(args) == 1 && (strings.EqualFold(args[0], "BGSAVE") || strings.EqualFold(args[0], "LASTSAVE")) {
-			if err := s.persistCmd(w, args[0]); err != nil {
-				return
-			}
-			if err := s.flush(conn, w); err != nil {
-				return
-			}
-			continue
-		}
-		op, errMsg := ParseCommand(args)
-		if errMsg != "" {
-			if err := w.Error(errMsg); err != nil {
-				return
-			}
-			if err := s.flush(conn, w); err != nil {
-				return
-			}
-			continue
-		}
-		if !s.enqueue(request{op: op, resp: respCh}) {
-			_ = w.Error("server shutting down")
-			_ = s.flush(conn, w)
-			return
-		}
-		res := <-respCh
-		if err := WriteResult(w, op, res); err != nil {
-			return
-		}
-		if err := s.flush(conn, w); err != nil {
+		c.cmds++
+		if err := s.dispatch(c.w, args); err != nil {
 			return
 		}
 	}
+}
+
+// dispatch answers one command into w. Server-level commands are answered
+// here; the rest run on a checked-out handle, returned before the reply is
+// written.
+func (s *Server) dispatch(w *Writer, args []string) error {
+	// INFO reports on the serving machinery itself, SLOWLOG reads the
+	// flight recorder (trace.go) and BGSAVE/LASTSAVE drive the durability
+	// controller, so none of them is routed through the keyspace's
+	// operation set.
+	switch {
+	case len(args) > 0 && strings.EqualFold(args[0], "INFO"):
+		return w.Bulk(s.Info())
+	case len(args) > 0 && strings.EqualFold(args[0], "SLOWLOG"):
+		return s.slowlog(w, args[1:])
+	case len(args) == 1 && (strings.EqualFold(args[0], "BGSAVE") || strings.EqualFold(args[0], "LASTSAVE")):
+		return s.persistCmd(w, args[0])
+	}
+	op, errMsg := ParseCommand(args)
+	if errMsg != "" {
+		return w.Error(errMsg)
+	}
+	ex := s.checkout()
+	if ex == nil {
+		return w.ErrorCode("BUSY", "no executor free")
+	}
+	res := safeExecute(ex, op)
+	s.handles <- ex
+	return WriteResult(w, op, res)
+}
+
+// session is one connection's I/O. It sits between the connection and its
+// bufio reader and writer so that every socket operation re-arms its own
+// deadline, and so that buffered replies are flushed whenever the handler
+// is about to wait for more input.
+type session struct {
+	s    *Server
+	conn net.Conn
+	w    *Writer
+	cmds uint64 // commands answered since the last flush
+}
+
+// Read refills the command buffer from the socket. It runs only when every
+// buffered command has been answered (or the next one is incomplete), so it
+// first sends the replies owed so far: a pipelined burst gets one flush, and
+// a lone command's reply never waits for further input.
+func (c *session) Read(p []byte) (int, error) {
+	if err := c.flush(); err != nil {
+		return 0, err
+	}
+	// The read deadline is armed under the server mutex, which Close holds
+	// while it expires every read, so a handler cannot re-arm a long
+	// deadline after Close: it sees closed and reads no further.
+	c.s.mu.Lock()
+	closed := c.s.closed
+	if !closed && c.s.readTimeout > 0 {
+		_ = c.conn.SetReadDeadline(time.Now().Add(c.s.readTimeout))
+	}
+	c.s.mu.Unlock()
+	if closed {
+		return 0, io.EOF
+	}
+	return c.conn.Read(p)
+}
+
+// Write sends buffered replies under a fresh write deadline.
+func (c *session) Write(p []byte) (int, error) {
+	if c.s.writeTimeout > 0 {
+		_ = c.conn.SetWriteDeadline(time.Now().Add(c.s.writeTimeout))
+	}
+	return c.conn.Write(p)
+}
+
+// flush sends buffered replies, counting the commands they answer.
+func (c *session) flush() error {
+	if c.cmds > 0 {
+		c.s.commands.Add(c.cmds)
+		c.s.flushes.Add(1)
+		c.cmds = 0
+	}
+	return c.w.Flush()
 }
 
 // persistCmd answers BGSAVE and LASTSAVE from the durability controller.
@@ -414,44 +476,12 @@ func (s *Server) persistCmd(w *Writer, cmd string) error {
 	return w.Int(secs)
 }
 
-// armRead refreshes the per-connection read deadline for the next command.
-// It shares the server mutex with Close so a handler cannot re-arm a long
-// deadline after Close has expired it — it sees closed and bows out instead.
-func (s *Server) armRead(conn net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	if s.readTimeout > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(s.readTimeout))
-	}
-	return true
-}
-
-// enqueue hands a request to the worker pool unless the server has begun
-// shutting down (guarding the send against a closed queue).
-func (s *Server) enqueue(req request) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	s.queue <- req
-	return true
-}
-
-// flush writes buffered replies under the write deadline.
-func (s *Server) flush(conn net.Conn, w *Writer) error {
-	if s.writeTimeout > 0 {
-		_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-	}
-	return w.Flush()
-}
-
 // Close stops accepting, lets every connection finish the command it is
-// executing (replies included), unblocks connections idle in a read, and
-// then stops the workers. Idempotent and safe to call concurrently.
+// executing (replies included), unblocks connections idle in a read and
+// commands waiting for a handle, and returns once every connection is gone
+// — or after closeGrace, having force-closed the stragglers, whose handlers
+// may still be stuck in an executor. Idempotent and safe to call
+// concurrently.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -459,6 +489,10 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
+	close(s.closing)
+	if len(s.conns) == 0 {
+		close(s.drained)
+	}
 	ln := s.ln
 	// Expire pending reads so handlers parked in ReadCommand return
 	// immediately; handlers mid-command finish and reply first because the
@@ -470,9 +504,15 @@ func (s *Server) Close() {
 	if ln != nil {
 		ln.Close()
 	}
-	s.connsWG.Wait()
-	close(s.queue)
-	s.wg.Wait()
+	select {
+	case <-s.drained:
+	case <-time.After(closeGrace):
+		s.mu.Lock()
+		for conn := range s.conns {
+			_ = conn.Close()
+		}
+		s.mu.Unlock()
+	}
 }
 
 // Direct returns an executor for in-process benchmarking — the paper's

@@ -2,8 +2,11 @@ package miniredis
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
+	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -63,6 +66,27 @@ func (c *client) cmd(t *testing.T, args ...string) string {
 	return c.readReply(t)
 }
 
+// pipeline sends every command in a single write, then reads one reply per
+// command.
+func (c *client) pipeline(t *testing.T, cmds ...[]string) []string {
+	t.Helper()
+	var b strings.Builder
+	for _, args := range cmds {
+		fmt.Fprintf(&b, "*%d\r\n", len(args))
+		for _, a := range args {
+			fmt.Fprintf(&b, "$%d\r\n%s\r\n", len(a), a)
+		}
+	}
+	if _, err := c.conn.Write([]byte(b.String())); err != nil {
+		t.Fatal(err)
+	}
+	replies := make([]string, len(cmds))
+	for i := range replies {
+		replies[i] = c.readReply(t)
+	}
+	return replies
+}
+
 func (c *client) readReply(t *testing.T) string {
 	t.Helper()
 	line, err := c.r.ReadString('\n')
@@ -77,11 +101,13 @@ func (c *client) readReply(t *testing.T) string {
 		if line == "$-1" {
 			return "(nil)"
 		}
-		data, err := c.r.ReadString('\n')
-		if err != nil {
+		var n int
+		fmt.Sscanf(line, "$%d", &n)
+		data := make([]byte, n+2) // body + CRLF; the body may span lines (INFO)
+		if _, err := io.ReadFull(c.r, data); err != nil {
 			t.Fatal(err)
 		}
-		return strings.TrimRight(data, "\r\n")
+		return string(data[:n])
 	case '*':
 		var n int
 		fmt.Sscanf(line, "*%d", &n)
@@ -246,8 +272,8 @@ func (p panicShared) Register() (baseline.Executor[StoreOp, StoreResult], error)
 }
 
 // TestServerWorkerSurvivesExecutePanic: a panic escaping the keyspace turns
-// into an error reply on the offending connection only; the worker pool and
-// every other connection keep working.
+// into an error reply for the offending command only; its handle goes back
+// to the pool and every connection keeps working.
 func TestServerWorkerSurvivesExecutePanic(t *testing.T) {
 	inner, err := NewShared(MethodSL, topology.New(1, 2, 1), 1)
 	if err != nil {
@@ -263,7 +289,7 @@ func TestServerWorkerSurvivesExecutePanic(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	c := dial(t, addr)
-	for i := 0; i < 3; i++ { // hit both workers repeatedly
+	for i := 0; i < 3; i++ { // more panics than handles: none may leak
 		if got := c.cmd(t, "SET", "kaboom", "x"); !strings.HasPrefix(got, "-ERR internal error") {
 			t.Fatalf("panic op reply = %q, want -ERR internal error", got)
 		}
@@ -271,6 +297,20 @@ func TestServerWorkerSurvivesExecutePanic(t *testing.T) {
 	// Same connection still works.
 	if got := c.cmd(t, "SET", "fine", "1"); got != "+OK" {
 		t.Errorf("SET after panic = %q", got)
+	}
+	// Inside a pipelined burst only the panicking command fails; its
+	// neighbours, on either side, still run and answer in order.
+	got := c.pipeline(t,
+		[]string{"SET", "before", "b"},
+		[]string{"SET", "kaboom", "x"},
+		[]string{"SET", "after", "a"},
+		[]string{"GET", "before"},
+		[]string{"GET", "after"})
+	want := []string{"+OK", "-ERR internal error", "+OK", "b", "a"}
+	for i := range want {
+		if !strings.HasPrefix(got[i], want[i]) {
+			t.Errorf("burst reply %d = %q, want %q", i, got[i], want[i])
+		}
 	}
 	// Fresh connections too.
 	c2 := dial(t, addr)
@@ -381,11 +421,198 @@ func TestServerReadTimeoutDisconnectsIdleClient(t *testing.T) {
 	}
 }
 
-// TestServerRejectsCommandsDuringShutdown: a connection that slips a command
-// in after Close flips the flag gets a clean shutdown error, not a panic on
-// the closed queue.
 func TestServerDoubleClose(t *testing.T) {
 	srv, _ := startServer(t, MethodSL)
 	srv.Close()
 	srv.Close() // idempotent
+}
+
+// TestServerPipelinedBurst: one write carrying keyspace, malformed and
+// server-level commands gets every reply, in order, and the burst is
+// answered with fewer flushes than commands.
+func TestServerPipelinedBurst(t *testing.T) {
+	srv, addr := startServer(t, MethodNR)
+	c := dial(t, addr)
+	got := c.pipeline(t,
+		[]string{"ZADD", "board", "10", "alice"},
+		[]string{"ZRANK", "board", "alice"},
+		[]string{"ZRANK", "board"},
+		[]string{"INFO"},
+		[]string{"SLOWLOG", "LEN"},
+		[]string{"PING"})
+	if got[0] != ":1" || got[1] != ":0" {
+		t.Errorf("ZADD, ZRANK = %q, %q; want :1, :0", got[0], got[1])
+	}
+	if !strings.HasPrefix(got[2], "-ERR wrong number of arguments") {
+		t.Errorf("malformed ZRANK = %q", got[2])
+	}
+	if !strings.Contains(got[3], "# Server") {
+		t.Errorf("INFO = %q", got[3])
+	}
+	if !strings.HasPrefix(got[4], "-ERR SLOWLOG requires the flight recorder") {
+		t.Errorf("SLOWLOG without a recorder = %q", got[4])
+	}
+	if got[5] != "+PONG" {
+		t.Errorf("PING = %q", got[5])
+	}
+	if ss := srv.ServerStats(); ss.TotalCommands != 6 || ss.TotalFlushes == 0 || ss.TotalFlushes >= 6 {
+		t.Errorf("commands = %d, flushes = %d; want 6 commands in fewer flushes", ss.TotalCommands, ss.TotalFlushes)
+	}
+}
+
+// TestServerRepliesBeforeBlocking: replies are flushed whenever the server
+// would wait for input — after a lone command, and after the complete
+// commands of a write that ends mid-command.
+func TestServerRepliesBeforeBlocking(t *testing.T) {
+	_, addr := startServer(t, MethodSL)
+	c := dial(t, addr)
+	c.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if got := c.cmd(t, "PING"); got != "+PONG" {
+		t.Fatalf("lone PING = %q", got)
+	}
+	if _, err := c.conn.Write([]byte("*1\r\n$4\r\nPING\r\n*3\r\n$3\r\nSET\r\n$1\r\nk")); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.readReply(t); got != "+PONG" {
+		t.Fatalf("PING ahead of a partial command = %q", got)
+	}
+	if _, err := c.conn.Write([]byte("\r\n$1\r\nv\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.readReply(t); got != "+OK" {
+		t.Fatalf("completed SET = %q", got)
+	}
+}
+
+// stuckExec parks SET stuck until released, standing in for an executor
+// that never returns (a stalled combiner).
+type stuckExec struct {
+	inner   executor
+	entered chan<- struct{}
+	release <-chan struct{}
+}
+
+func (s stuckExec) Execute(op StoreOp) StoreResult {
+	if op.Cmd == CmdSet && op.Key == "stuck" {
+		s.entered <- struct{}{}
+		<-s.release
+	}
+	return s.inner.Execute(op)
+}
+
+type stuckShared struct {
+	inner   Shared
+	entered chan<- struct{}
+	release <-chan struct{}
+}
+
+func (s stuckShared) Register() (executor, error) {
+	ex, err := s.inner.Register()
+	if err != nil {
+		return nil, err
+	}
+	return stuckExec{ex, s.entered, s.release}, nil
+}
+
+// TestServerStuckExecutorShedsAndCloses: with the only handle held by an
+// executor that never returns, more connections than the old request queue
+// held each get -BUSY within the wait budget instead of hanging; Close
+// returns within its grace bound, and afterwards commands meet a closed
+// connection. No goroutine outlives Close except the stuck one.
+func TestServerStuckExecutorShedsAndCloses(t *testing.T) {
+	const conns = 1030
+	before := runtime.NumGoroutine()
+	inner, err := NewShared(MethodSL, topology.New(1, 1, 1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	defer close(release)
+	srv, err := NewServer(stuckShared{inner, entered, release}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrCh := make(chan net.Addr, 1)
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = srv.Serve("127.0.0.1:0", func(a net.Addr) { addrCh <- a })
+	}()
+	addr := <-addrCh
+
+	stuck := dial(t, addr)
+	if _, err := stuck.conn.Write([]byte("*3\r\n$3\r\nSET\r\n$5\r\nstuck\r\n$1\r\nv\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+
+	// The replies are all due one wait budget after the writes.
+	clients := make([]*client, conns)
+	for i := range clients {
+		clients[i] = dial(t, addr)
+		if _, err := clients[i].conn.Write([]byte("PING\r\n")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(handleWaitBudget + 10*time.Second)
+	for i, c := range clients {
+		c.conn.SetReadDeadline(deadline)
+		if got := c.readReply(t); !strings.HasPrefix(got, "-BUSY") {
+			t.Fatalf("conn %d: PING with every handle stuck = %q, want -BUSY", i, got)
+		}
+	}
+	if ss := srv.ServerStats(); ss.ShedTotal != conns || ss.HandleWaits != conns {
+		t.Errorf("shed = %d, handle waits = %d; want %d each", ss.ShedTotal, ss.HandleWaits, conns)
+	}
+
+	// Commands in flight when Close begins get -BUSY, a shutdown error or
+	// a closed connection.
+	for _, c := range clients {
+		if _, err := c.conn.Write([]byte("PING\r\n")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ne net.Error
+	start := time.Now()
+	srv.Close()
+	if took := time.Since(start); took > closeGrace+2*time.Second {
+		t.Errorf("Close took %v with a stuck executor; bound %v", took, closeGrace)
+	}
+	for i, c := range clients {
+		c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		line, err := c.r.ReadString('\n')
+		switch {
+		case errors.As(err, &ne) && ne.Timeout():
+			t.Fatalf("conn %d: hung after Close", i)
+		case err == nil && !strings.HasPrefix(line, "-BUSY") && !strings.HasPrefix(line, "-ERR server shutting down"):
+			t.Fatalf("conn %d: reply after Close = %q", i, line)
+		}
+	}
+	stuck.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := stuck.r.ReadByte(); err == nil {
+		t.Error("stuck connection got a reply instead of being closed")
+	} else if errors.As(err, &ne) && ne.Timeout() {
+		t.Error("stuck connection left open after Close")
+	}
+	<-served
+	if c, err := net.DialTimeout("tcp", addr.String(), time.Second); err == nil {
+		c.Close()
+		t.Error("listener still accepting after Close")
+	}
+
+	stuck.conn.Close()
+	for _, c := range clients {
+		c.conn.Close()
+	}
+	for wait := time.Now().Add(5 * time.Second); ; {
+		n := runtime.NumGoroutine()
+		if n <= before+1 { // +1: the handler parked in the stuck executor
+			break
+		}
+		if time.Now().After(wait) {
+			t.Fatalf("%d goroutines after Close, %d before (+1 stuck)", n, before)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }

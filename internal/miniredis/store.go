@@ -383,12 +383,12 @@ func WriteResult(w *Writer, op StoreOp, res StoreResult) error {
 	case CmdDel, CmdZAdd, CmdZRem, CmdZCard, CmdDBSize:
 		return w.Int(res.Int)
 	case CmdZIncrBy:
-		return w.Bulk(FormatScore(res.Score))
+		return w.Score(res.Score)
 	case CmdZScore:
 		if !res.OK {
 			return w.Nil()
 		}
-		return w.Bulk(FormatScore(res.Score))
+		return w.Score(res.Score)
 	case CmdZRank:
 		if !res.OK {
 			return w.Nil()

@@ -130,7 +130,9 @@ func TestMetricsPrometheusNegotiation(t *testing.T) {
 			t.Fatalf("%s: live exposition fails lint: %v\n%s", req.name, err, text)
 		}
 		for _, family := range []string{
-			"nrredis_commands_total", "nr_read_ops_total", "nr_update_ops_total",
+			"nrredis_commands_total", "nrredis_flushes_total", "nrredis_shed_total",
+			"nrredis_handle_waits_total", "nrredis_handle_wait_seconds_total",
+			"nr_read_ops_total", "nr_update_ops_total",
 			"nr_log_occupancy", "nr_replica_completed_lag",
 			"nr_op_latency_seconds_bucket", "nr_combiner_batch_size_bucket",
 			"nr_slo_target_p99_seconds", "nr_slo_windows_total",
